@@ -130,6 +130,11 @@ class ArithmeticApplication(abc.ABC):
     #: this app (async truncates the delta series at the mass
     #: threshold, BSP at the per-sweep L-inf tolerance).
     async_tolerance: float = 1e-6
+    #: Whether :meth:`edge_contributions` reads its ``dsts`` argument.
+    #: Apps that set this False receive ``dsts=None`` from the dense
+    #: row-span gather, which then skips building per-edge destination
+    #: ids (:func:`repro.core.runtime.gather_block`).
+    reads_edge_dsts: bool = True
 
     def bind(self, graph: Graph) -> None:
         """Precompute per-vertex constants; default does nothing."""

@@ -49,6 +49,7 @@ class BeliefPropagation(ArithmeticApplication):
     """
 
     name = "BP"
+    reads_edge_dsts = False
     default_max_iterations = 300
     default_tolerance = 1e-10
 

@@ -20,6 +20,7 @@ class HeatSimulation(ArithmeticApplication):
     """``h' = (1 - k) h + k * mean(in-neighbour heat)``."""
 
     name = "Heat"
+    reads_edge_dsts = False
     default_max_iterations = 50
     default_tolerance = 1e-10
 

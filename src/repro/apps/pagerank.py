@@ -20,6 +20,7 @@ class PageRank(ArithmeticApplication):
     """Damped PageRank over out-degree-normalised contributions."""
 
     name = "PR"
+    reads_edge_dsts = False
     default_max_iterations = 500
     default_tolerance = 1e-8
     #: PageRank is the canonical accumulative app (Maiter Section 2):

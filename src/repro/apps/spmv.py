@@ -18,6 +18,7 @@ class SpMV(ArithmeticApplication):
     """One weighted gather: the product of A-transpose with ``x``."""
 
     name = "SpMV"
+    reads_edge_dsts = False
     default_max_iterations = 1
     default_tolerance = 0.0
 

@@ -20,6 +20,7 @@ class TunkRank(ArithmeticApplication):
     """Influence scores under the TunkRank recurrence."""
 
     name = "TR"
+    reads_edge_dsts = False
     default_max_iterations = 500
     default_tolerance = 1e-8
     #: Deliberately not accumulative: the recurrence is affine (the

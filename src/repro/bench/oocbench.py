@@ -3,12 +3,14 @@
 The claim the ooc backend makes is a *memory* claim: vertex state is
 O(|V|) resident, edges stream from the artifact store, so peak RSS
 should stay flat while |E| grows.  Wall clock inside one process cannot
-witness that — ``ru_maxrss`` is a high-water mark for the whole process
+witness that — peak RSS is a high-water mark for the whole process
 lifetime, and a parent that ever materialised the in-memory graph has
 already spoiled it.  So every measured run happens in a fresh child
 interpreter (``python -m repro.bench.oocbench --child ...``) and reports
-its own ``ru_maxrss`` plus a checksum of the converged values; the
-parent only orchestrates and asserts the checksums agree.
+its own peak (:func:`repro.ooc.peak_rss_bytes`: ``VmHWM`` on Linux,
+which unlike ``ru_maxrss`` does not carry the spawning parent's peak
+across ``exec``) plus a checksum of the converged values; the parent
+only orchestrates and asserts the checksums agree.
 
 Three child modes per scale point:
 

@@ -66,9 +66,13 @@ __all__ = [
     "telemetry_advance",
     "telemetry_end",
     "grouped_reduce",
+    "DENSE_SPAN_FRACTION",
+    "ascending",
+    "dense_span",
     "pull_apply_block",
     "gather_block",
     "push_block",
+    "expand_row_dsts",
     "SerialDispatch",
 ]
 
@@ -377,6 +381,59 @@ def grouped_reduce(
     return out
 
 
+#: Dense row-span switch: a kernel whose strictly ascending ``ids``
+#: cover rows ``[lo, hi)`` walks that span's edges ``[e0, e1)``
+#: directly -- contiguous ``indices``/``weights`` views, no per-edge
+#: index arrays -- once the ids' edges are at least this fraction of
+#: the span's.  The sparse path costs a roughly fixed amount per
+#: *active* edge and the dense path per *span* edge, so each kernel
+#: breaks even at (dense ns per span edge) / (sparse ns per active
+#: edge).  Measured over random row subsets (2-vCPU Xeon, numpy 2.4,
+#: min of 15): PageRank gather on the LJ stand-in's in-CSR at divisor
+#: 50 (1.34 M edges) 5.3 / 15 ns, break-even 0.35; SSSP min pull on
+#: the DI stand-in at divisor 100 (3.04 M edges) 11.5 / 26 ns, 0.44;
+#: out-expansion on the same graph 4.5 / 8.5 ns, measured crossover
+#: near 0.6.  0.4 sits between the two kernels that carry the work;
+#: expansion is the cheapest per edge, so below its own crossover it
+#: loses at most ~1.5 ms per 3 M span edges.  See DESIGN.md §11.
+DENSE_SPAN_FRACTION = 0.4
+
+
+def ascending(ids: np.ndarray) -> bool:
+    """Whether ``ids`` strictly ascend: the precondition of every
+    row-span code path (the dense kernels and the out-of-core shard
+    split).  Callers that can serve any order fall back to the sparse
+    path; those that cannot raise a typed :class:`EngineError`."""
+    return ids.size < 2 or bool(np.all(ids[:-1] < ids[1:]))
+
+
+def dense_span(adj, ids: np.ndarray, active_edges: int):
+    """``(lo, hi, e0, e1)`` when ``ids`` should take the dense row-span
+    path over ``adj`` (a :class:`~repro.graph.csr.RowAccess`), else
+    ``None``.
+
+    ``active_edges`` is the edge count of the rows in ``ids``.  The
+    span is dense when those edges are at least
+    :data:`DENSE_SPAN_FRACTION` of the span's; ids that do not strictly
+    ascend never take it (their span is not ``[ids[0], ids[-1]]``).
+    """
+    if not active_edges:
+        return None
+    lo = int(ids[0])
+    hi = int(ids[-1]) + 1
+    e0, e1 = adj.edge_range(lo, hi)
+    if active_edges < DENSE_SPAN_FRACTION * (e1 - e0) or not ascending(ids):
+        return None
+    return lo, hi, e0, e1
+
+
+def _nonempty_sums(per_edge: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the non-empty groups of contiguous per-group blocks."""
+    boundaries = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=boundaries[1:])
+    return np.add.reduceat(per_edge, boundaries[counts > 0])
+
+
 def pull_apply_block(
     app,
     in_csr,
@@ -397,14 +454,29 @@ def pull_apply_block(
     against the incumbent, and the identity never wins (``inf < v`` and
     ``-inf > v`` are both false), so those entries were always false —
     exactly what a pre-zeroed ``improved`` already holds.
-    Returns the number of edges relaxed.
+
+    Dense spans (:func:`dense_span`) reduce every row of the span and
+    keep the ids' rows: each row still reduces its own edges in CSR
+    order, so the result is bit-identical to the sparse path.
+    Returns the number of edges relaxed (the ids' edges, on both paths).
     """
-    _, srcs, weights = in_csr.expand_sources(ids)
-    candidates = app.edge_candidates(values, srcs, weights)
-    reduced = grouped_reduce(aggregation, candidates, in_deg[ids])
+    counts = in_deg[ids]
+    edges = int(counts.sum())
+    span = dense_span(in_csr, ids, edges)
+    if span is None:
+        _, srcs, weights = in_csr.expand_sources(ids)
+        candidates = app.edge_candidates(values, srcs, weights)
+        reduced = grouped_reduce(aggregation, candidates, counts)
+    else:
+        lo, hi, e0, e1 = span
+        candidates = app.edge_candidates(
+            values, in_csr.indices[e0:e1], in_csr.weights[e0:e1]
+        )
+        reduced = grouped_reduce(aggregation, candidates, in_deg[lo:hi])
+        reduced = reduced[ids - lo]
     result[ids] = reduced
     improved[ids] = app.better(reduced, values[ids])
-    return int(srcs.size)
+    return edges
 
 
 def gather_block(
@@ -420,20 +492,34 @@ def gather_block(
     ``result`` must be pre-zeroed by the caller; ids with no in-edges
     are left untouched (grouped sum over non-empty blocks only, the
     same reduceat-over-nonempty-boundaries trick as the serial engine
-    has always used).  Returns the number of edges gathered.
+    has always used).  Dense spans (:func:`dense_span`) sum every
+    non-empty row of the span and write the ids' rows; per-edge
+    destination ids are built (one repeat over the span) only for apps
+    whose ``edge_contributions`` read them (``reads_edge_dsts``).
+    Returns the number of edges gathered (the ids' edges, on both
+    paths).
     """
-    rows, srcs, weights = in_csr.expand_sources(ids)
-    if srcs.size:
+    counts = in_deg[ids]
+    edges = int(counts.sum())
+    span = dense_span(in_csr, ids, edges)
+    if span is not None:
+        lo, hi, e0, e1 = span
+        span_counts = in_deg[lo:hi]
+        rows = None
+        if getattr(app, "reads_edge_dsts", True):
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int64), span_counts)
+        contributions = app.edge_contributions(
+            values, in_csr.indices[e0:e1], rows, in_csr.weights[e0:e1]
+        )
+        sums = np.zeros(hi - lo)
+        sums[span_counts > 0] = _nonempty_sums(contributions, span_counts)
+        live = ids[counts > 0]
+        result[live] = sums[live - lo]
+    elif edges:
+        rows, srcs, weights = in_csr.expand_sources(ids)
         contributions = app.edge_contributions(values, srcs, rows, weights)
-        counts = in_deg[ids]
-        boundaries = np.zeros(ids.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=boundaries[1:])
-        nonempty = counts > 0
-        if nonempty.any():
-            result[ids[nonempty]] = np.add.reduceat(
-                contributions, boundaries[nonempty]
-            )
-    return int(srcs.size)
+        result[ids[counts > 0]] = _nonempty_sums(contributions, counts)
+    return edges
 
 
 def push_block(
@@ -461,26 +547,25 @@ def push_block(
     return int(dsts.size)
 
 
-def expand_row_dsts(
-    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
+def expand_row_dsts(adj, ids: np.ndarray) -> np.ndarray:
     """The concatenated adjacency targets of ``ids``, in row order.
 
-    The destination half of ``CSR.expand_sources`` without requiring a
-    CSR object — dispatch backends that hold raw shared arrays (the
-    worker pool's views) or shard-local slices can serve the engine's
-    ``expand_out_dsts`` contract from whatever they have resident.
+    The destination half of ``expand_sources`` over any
+    :class:`~repro.graph.csr.RowAccess` (a CSR, a CSR over the worker
+    pool's shared views, or a resident shard), which is how every
+    dispatch backend serves the engine's ``expand_out_dsts`` contract.
+    Dense spans (:func:`dense_span`) mask the span's rows, repeat the
+    mask by degree and compress the span's targets: the same
+    row-ordered array, without per-edge index arithmetic.
     """
-    starts = indptr[ids]
-    counts = indptr[ids + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    positions = np.arange(total, dtype=np.int64)
-    offsets = np.zeros(ids.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    positions -= np.repeat(offsets, counts)
-    return indices[np.repeat(starts, counts) + positions]
+    indptr = adj.indptr
+    span = dense_span(adj, ids, int((indptr[ids + 1] - indptr[ids]).sum()))
+    if span is None:
+        return adj.indices[adj.expand_positions(ids)]
+    lo, hi, e0, e1 = span
+    take = np.zeros(hi - lo, dtype=bool)
+    take[ids - lo] = True
+    return adj.indices[e0:e1][np.repeat(take, np.diff(indptr[lo : hi + 1]))]
 
 
 class SerialDispatch:
@@ -580,7 +665,7 @@ class SerialDispatch:
         """Concatenated out-neighbours of ``ids`` (engine frontier/thaw
         expansion) — the one remaining engine-side edge access, routed
         through the dispatch so out-of-core backends can stream it."""
-        return self._out_csr.expand_sources(ids)[1]
+        return expand_row_dsts(self._out_csr, ids)
 
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep: int) -> None:

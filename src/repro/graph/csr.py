@@ -8,6 +8,12 @@ edge weights ``weights[indptr[u]:indptr[u + 1]]``.
 The structure is immutable after construction; engines read it through the
 vectorised helpers (:meth:`CSR.neighbors`, :meth:`CSR.edge_slice`,
 :meth:`CSR.expand_sources`) rather than mutating it.
+
+Row-addressed edge access (:meth:`RowAccess.edge_range`,
+:meth:`RowAccess.expand_positions`, :meth:`RowAccess.expand_sources`)
+lives in the :class:`RowAccess` mixin, which the out-of-core
+:class:`repro.graph.shards.ShardSlice` shares: both are built on the one
+expansion helper ``_expand_rows``.
 """
 
 from __future__ import annotations
@@ -18,10 +24,89 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "RowAccess"]
 
 
-class CSR:
+def _expand_rows(
+    indptr: np.ndarray, rows: np.ndarray, base: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge positions of ``rows``, concatenated in the order given.
+
+    Returns ``(positions, counts)``: ``positions`` indexes an edge array
+    that starts at global edge ``base`` (0 for a whole CSR, the shard's
+    first edge for a shard-local array), and ``counts`` is each row's
+    edge count.  ``rows`` need not be sorted and may repeat.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), counts
+    # Edge k of the output is edge (k - first_k) of its row, where
+    # first_k is the row's first output slot: one repeat of the
+    # per-row shift (start - base - first_k) plus an arange.
+    shift = starts - base
+    shift[1:] -= np.cumsum(counts[:-1])
+    positions = np.repeat(shift, counts)
+    positions += np.arange(total, dtype=np.int64)
+    return positions, counts
+
+
+class RowAccess:
+    """Row-addressed edge access over ``indptr``/``indices``/``weights``.
+
+    ``indptr`` is the global row-pointer array; ``indices``/``weights``
+    hold the edges from global edge :attr:`base` on.  :class:`CSR` holds
+    every edge (``base`` 0); a shard slice holds one contiguous row
+    range and sets ``base`` to its first edge, so this is the only place
+    the offset is applied.
+    """
+
+    __slots__ = ()
+
+    #: Global id of the first edge in ``indices``/``weights``.
+    base = 0
+
+    def edge_range(self, lo: int, hi: int) -> Tuple[int, int]:
+        """``[e0, e1)`` into ``indices``/``weights`` of rows ``[lo, hi)``."""
+        return (
+            int(self.indptr[lo]) - self.base,
+            int(self.indptr[hi]) - self.base,
+        )
+
+    def expand_positions(self, vertices: np.ndarray) -> np.ndarray:
+        """Flat edge indices of the rows of ``vertices`` (concatenated).
+
+        The result aligns with the arrays returned by
+        :meth:`expand_sources` for the same input, and indexes any
+        edge-aligned side array (e.g. per-edge partition owners).
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        return _expand_rows(self.indptr, vertices, self.base)[0]
+
+    def expand_sources(
+        self, vertices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather the edges of a set of rows at once.
+
+        Parameters
+        ----------
+        vertices:
+            Array of row ids (need not be sorted, may be empty).
+
+        Returns
+        -------
+        (srcs, dsts, weights):
+            Flat, aligned arrays covering every edge whose source is in
+            ``vertices`` (with multiplicity if a vertex repeats).
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        flat, counts = _expand_rows(self.indptr, vertices, self.base)
+        srcs = np.repeat(vertices, counts)
+        return srcs, self.indices[flat], self.weights[flat]
+
+
+class CSR(RowAccess):
     """Immutable CSR adjacency over ``num_vertices`` vertices.
 
     Parameters
@@ -119,48 +204,6 @@ class CSR:
         return np.repeat(
             np.arange(self.num_vertices, dtype=np.int64), self.degrees()
         )
-
-    def expand_positions(self, vertices: np.ndarray) -> np.ndarray:
-        """Flat edge indices of the rows of ``vertices`` (concatenated).
-
-        The result aligns with the arrays returned by
-        :meth:`expand_sources` for the same input, and indexes any
-        edge-aligned side array (e.g. per-edge partition owners).
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = np.arange(total, dtype=np.int64) - offsets
-        return np.repeat(starts, counts) + positions
-
-    def expand_sources(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather the edges of a set of rows at once.
-
-        Parameters
-        ----------
-        vertices:
-            Array of row ids (need not be sorted, may be empty).
-
-        Returns
-        -------
-        (srcs, dsts, weights):
-            Flat, aligned arrays covering every edge whose source is in
-            ``vertices`` (with multiplicity if a vertex repeats).
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        flat = self.expand_positions(vertices)
-        if flat.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        counts = self.indptr[vertices + 1] - self.indptr[vertices]
-        srcs = np.repeat(vertices, counts)
-        return srcs, self.indices[flat], self.weights[flat]
 
     # ------------------------------------------------------------------
     # transforms

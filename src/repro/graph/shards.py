@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, RowAccess
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -270,14 +270,18 @@ def validate_manifest(manifest: Dict[str, object], indptr: np.ndarray, source: s
     return manifest
 
 
-class ShardSlice:
+class ShardSlice(RowAccess):
     """One decoded shard, addressable by *global* row ids.
 
-    Exposes exactly the surface the fused kernels consume —
-    ``expand_sources(ids)`` — so :func:`repro.core.runtime.pull_apply_block`
-    and friends run verbatim against a shard.  ``indptr`` is the full
-    global array (shared, O(|V|)); only this shard's edge arrays are
-    resident.  Callers must pass row ids inside ``[lo, hi)``.
+    Exposes exactly the surface the fused kernels consume — the
+    :class:`~repro.graph.csr.RowAccess` methods ``edge_range`` and
+    ``expand_sources``/``expand_positions`` — so
+    :func:`repro.core.runtime.pull_apply_block` and friends run verbatim
+    against a shard.  ``indptr`` is the full global array (shared,
+    O(|V|)); only this shard's edge arrays are resident, starting at
+    global edge ``base``.  Output is identical to the full CSR's for any
+    rows inside ``[lo, hi)``, because a shard never splits a row's edge
+    run; callers must not pass rows outside it.
     """
 
     __slots__ = ("lo", "hi", "base", "indptr", "indices", "weights")
@@ -293,29 +297,6 @@ class ShardSlice:
     @property
     def nbytes(self) -> int:
         return int(self.indices.nbytes + self.weights.nbytes)
-
-    def expand_sources(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`repro.graph.csr.CSR.expand_sources`, shard-local edges.
-
-        Identical output to the full CSR's method for any ``vertices``
-        within this shard's row range, because a shard never splits a
-        row's edge run.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = np.arange(total, dtype=np.int64) - offsets
-        flat = np.repeat(starts, counts) + positions - self.base
-        srcs = np.repeat(vertices, counts)
-        return srcs, self.indices[flat], self.weights[flat]
 
 
 class ShardedCSR:

@@ -50,6 +50,8 @@ from repro.core.runtime import (
     PHASE_GATHER,
     PHASE_PULL,
     PHASE_PUSH,
+    ascending,
+    expand_row_dsts,
     gather_block,
     new_telemetry_block,
     pull_apply_block,
@@ -92,7 +94,21 @@ SHARD_CACHE_ENV = "REPRO_SHARD_CACHE"
 
 def peak_rss_bytes() -> int:
     """This process's high-water resident set size in bytes (0 if the
-    platform cannot report it)."""
+    platform cannot report it).
+
+    On Linux this is ``VmHWM`` from ``/proc/self/status``: the peak of
+    the current address space only.  ``ru_maxrss`` (the fallback
+    elsewhere) also keeps the peak of the image a process replaced at
+    ``exec``, so a child spawned by a large parent would report the
+    parent's peak instead of its own.
+    """
+    try:
+        with open("/proc/self/status", "rb") as handle:
+            for line in handle:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024  # kB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
@@ -578,7 +594,7 @@ class ShardStreamDispatch:
         """
         if ids.size == 0:
             return
-        if ids.size > 1 and not np.all(ids[:-1] < ids[1:]):
+        if not ascending(ids):
             raise EngineError(
                 "ooc dispatch requires strictly ascending task ids"
             )
@@ -664,7 +680,7 @@ class ShardStreamDispatch:
         parts = []
         for part, group in self._groups("out", ids):
             shard = self._stream.get("out", part)
-            parts.append(shard.expand_sources(group)[1])
+            parts.append(expand_row_dsts(shard, group))
         self._emit_shard_io("expand", "out")
         if not parts:
             return np.empty(0, dtype=np.int64)

@@ -105,12 +105,14 @@ from repro.core.runtime import (
     PHASE_NAMES_BY_ID,
     PHASE_PULL,
     PHASE_PUSH,
+    expand_row_dsts,
     new_telemetry_block,
     telemetry_advance,
     telemetry_begin,
     telemetry_end,
 )
 from repro.errors import EngineError
+from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -531,20 +533,17 @@ class ParallelExecutor:
             return view
 
         try:
-            # The CSR views are kept: the degraded (inline) execution
-            # path runs the fused kernels in the parent over these same
-            # shared blocks.
-            self._csr_views = {
-                key: share(key, source)
-                for key, source in (
-                    ("in_indptr", in_csr.indptr),
-                    ("in_indices", in_csr.indices),
-                    ("in_weights", in_csr.weights),
-                    ("out_indptr", out_csr.indptr),
-                    ("out_indices", out_csr.indices),
-                    ("out_weights", out_csr.weights),
+            # CSRs over the shared blocks are kept: the parent's
+            # out-expansion and the degraded (inline) execution path
+            # run the fused kernels over these same segments.
+            self._in_view, self._out_view = (
+                CSR(
+                    share(prefix + "_indptr", csr.indptr),
+                    share(prefix + "_indices", csr.indices),
+                    share(prefix + "_weights", csr.weights),
                 )
-            }
+                for prefix, csr in (("in", in_csr), ("out", out_csr))
+            )
             self.values = share("values", np.zeros(n, dtype=np.float64))
             self.result = share("result", np.zeros(n, dtype=np.float64))
             self.improved = share("improved", np.zeros(n, dtype=bool))
@@ -651,11 +650,7 @@ class ParallelExecutor:
     def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated out-neighbours of ``ids``, from the shared CSR
         views (no private copy of the adjacency in the parent)."""
-        from repro.core.runtime import expand_row_dsts
-
-        return expand_row_dsts(
-            self._csr_views["out_indptr"], self._csr_views["out_indices"], ids
-        )
+        return expand_row_dsts(self._out_view, ids)
 
     # ------------------------------------------------------------------
     # superstep clock + trace plumbing
@@ -891,16 +886,6 @@ class ParallelExecutor:
                 pass
         self._procs = []
         self._conns = []
-        from repro.graph.csr import CSR
-
-        views = self._csr_views
-        self._inline_in_csr = CSR(
-            views["in_indptr"], views["in_indices"], views["in_weights"]
-        )
-        self._inline_out_csr = CSR(
-            views["out_indptr"], views["out_indices"], views["out_weights"]
-        )
-        self._inline_in_deg = self._inline_in_csr.degrees()
 
     def _recover(self, failure: _WorkerFailure, phase_id: int) -> None:
         """Handle a mid-phase failure; on return the phase can re-run.
@@ -1089,8 +1074,8 @@ class ParallelExecutor:
             if phase_id == PHASE_PULL:
                 edges = pull_apply_block(
                     self._app,
-                    self._inline_in_csr,
-                    self._inline_in_deg,
+                    self._in_view,
+                    self.in_degrees,
                     self.values,
                     ids,
                     AGGREGATION_BY_CODE[aggregation_code],
@@ -1100,8 +1085,8 @@ class ParallelExecutor:
             elif phase_id == PHASE_GATHER:
                 edges = gather_block(
                     self._app,
-                    self._inline_in_csr,
-                    self._inline_in_deg,
+                    self._in_view,
+                    self.in_degrees,
                     self.values,
                     ids,
                     self.result,
@@ -1109,7 +1094,7 @@ class ParallelExecutor:
             elif phase_id == PHASE_PUSH:
                 edges = push_block(
                     self._app,
-                    self._inline_out_csr,
+                    self._out_view,
                     self.values,
                     ids,
                     self._edge_dsts,

@@ -176,37 +176,45 @@ class TestBaselineErrors:
         "--engines", "SLFE", "--no-parallel-scaling",
     ]
 
-    def run_main(self, tmp_path, baseline, capsys):
+    def run_main(self, tmp_path, baseline, capsys, monkeypatch):
+        # The baseline is validated before any measuring: a matrix run
+        # here would be the bug.
+        def no_matrix(**kwargs):
+            raise AssertionError("run_matrix ran before the baseline check")
+
+        monkeypatch.setattr(regression, "run_matrix", no_matrix)
         out = tmp_path / "bench.json"
         code = regression.main(
             ["--out", str(out), "--baseline", str(baseline)] + self.ARGS
         )
         return code, capsys.readouterr().err
 
-    def test_missing_baseline(self, tmp_path, capsys):
-        code, err = self.run_main(tmp_path, tmp_path / "nope.json", capsys)
+    def test_missing_baseline(self, tmp_path, capsys, monkeypatch):
+        code, err = self.run_main(
+            tmp_path, tmp_path / "nope.json", capsys, monkeypatch
+        )
         assert code == 2
         assert "cannot read baseline" in err
         assert "Traceback" not in err
 
-    def test_invalid_json_baseline(self, tmp_path, capsys):
+    def test_invalid_json_baseline(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code, err = self.run_main(tmp_path, bad, capsys)
+        code, err = self.run_main(tmp_path, bad, capsys, monkeypatch)
         assert code == 2
         assert "not valid JSON" in err
 
-    def test_empty_file_baseline(self, tmp_path, capsys):
+    def test_empty_file_baseline(self, tmp_path, capsys, monkeypatch):
         empty = tmp_path / "empty.json"
         empty.write_text("")
-        code, err = self.run_main(tmp_path, empty, capsys)
+        code, err = self.run_main(tmp_path, empty, capsys, monkeypatch)
         assert code == 2
         assert "not valid JSON" in err
 
-    def test_schema_less_baseline(self, tmp_path, capsys):
+    def test_schema_less_baseline(self, tmp_path, capsys, monkeypatch):
         bare = tmp_path / "bare.json"
         bare.write_text("{}")
-        code, err = self.run_main(tmp_path, bare, capsys)
+        code, err = self.run_main(tmp_path, bare, capsys, monkeypatch)
         assert code == 2
         assert "does not match the BENCH schema" in err
 

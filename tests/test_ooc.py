@@ -380,7 +380,7 @@ class TestExpandRowDsts:
         csr = graph.out_csr
         ids = np.arange(0, 60, 3, dtype=np.int64)
         _, expected, _ = csr.expand_sources(ids)
-        got = expand_row_dsts(csr.indptr, csr.indices, ids)
+        got = expand_row_dsts(csr, ids)
         assert np.array_equal(got, expected)
 
     def test_empty_ids(self):
@@ -388,9 +388,7 @@ class TestExpandRowDsts:
 
         graph = make_random_graph(num_vertices=10, num_edges=30, seed=13)
         csr = graph.out_csr
-        got = expand_row_dsts(
-            csr.indptr, csr.indices, np.empty(0, dtype=np.int64)
-        )
+        got = expand_row_dsts(csr, np.empty(0, dtype=np.int64))
         assert got.size == 0
 
     def test_unsorted_ids_rejected_by_dispatch(self, tiny_shards):
